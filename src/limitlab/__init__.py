@@ -46,7 +46,6 @@ from .machine import (
     trace,
 )
 from .histories import (
-    DEFAULT_CODE_CEILING,
     StagePropertyMachine,
     decode_history,
     encode_history,

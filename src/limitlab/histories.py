@@ -39,23 +39,19 @@ procedure as such an object so limit properties get histories too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence, Union
+from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
 from .encoding import decode_prefix, encode_prefix, is_prefix_code, pair, unpair
 from .machine import (
     BLANK,
     Configuration,
     Diverger,
-    LEFT,
     Literal,
-    ONE,
-    RIGHT,
     StateTable,
     Table,
-    ZERO,
-    canonical_bits,
     decode_program,
     index_to_program,
+    numeral_symbols,
     read_output,
 )
 
@@ -78,15 +74,11 @@ __all__ = [
     "minimal_history_below",
     "mind_change_last_witness",
     "StagePropertyMachine",
-    "DEFAULT_CODE_CEILING",
     "MAX_WINDOW",
 ]
 
 # (state, head offset into window, window symbols)
 View = tuple[int, int, tuple[int, ...]]
-
-# Quantifier loops over z < y in tests are only exercised below this ceiling.
-DEFAULT_CODE_CEILING = 10**7
 
 # Decoded windows larger than this are rejected.  A genuine history with a
 # bigger window needs that many machine steps, putting its code far beyond
@@ -134,10 +126,8 @@ def encode_views(views: Sequence[View]) -> int:
     return encode_prefix([encode_view(v) for v in views])
 
 
-def encode_history(cfgs: Sequence[Configuration]) -> int:
+def encode_history(cfgs: Iterable[Configuration]) -> int:
     """Code a non-empty configuration sequence."""
-    if not cfgs:
-        raise ValueError("a history needs at least one configuration")
     return encode_views([view_of(c) for c in cfgs])
 
 
@@ -178,42 +168,38 @@ class Stepper(Protocol):
 
 
 def _input_view(input_value: int) -> View:
-    window = tuple(
-        ONE if b == "1" else ZERO for b in canonical_bits(input_value)
-    )
-    return (1, 0, window)
+    return (1, 0, tuple(numeral_symbols(input_value)))
 
 
 class _TableStepper:
     def __init__(self, table: StateTable):
-        self.table = table
+        self.k = table.k
+        self.code = table.code
 
     def initial_view(self, input_value: int) -> View:
         return _input_view(input_value)
 
     def step_view(self, view: View) -> Optional[View]:
         state, offset, window = view
-        if not 1 <= state <= self.table.k:
+        if not 1 <= state <= self.k:
             return None
-        write, move, nxt = self.table.record(state, window[offset])
+        write, move, base = self.code[3 * state + window[offset]]
         cells = list(window)
         cells[offset] = write
-        offset += 1 if move == RIGHT else -1
+        offset += move
         if offset < 0:
             cells.insert(0, BLANK)
             offset = 0
         elif offset == len(cells):
             cells.append(BLANK)
-        return (nxt, offset, tuple(cells))
+        return (base // 3, offset, tuple(cells))
 
 
 class _LiteralStepper:
     # Literal machines never consult the tape, so their histories start from
     # a blank window whatever the input; each step writes one payload digit.
     def __init__(self, payload: int):
-        self.digits = tuple(
-            ONE if b == "1" else ZERO for b in canonical_bits(payload)
-        )
+        self.digits = tuple(numeral_symbols(payload))
 
     def initial_view(self, input_value: int) -> View:
         return (1, 0, (BLANK,))
@@ -262,8 +248,7 @@ class StagePropertyMachine:
         g = self.guess(x, n)
         if g is None:
             return view
-        digits = tuple(ONE if b == "1" else ZERO for b in canonical_bits(g))
-        return (0, 0, digits)
+        return (0, 0, tuple(numeral_symbols(g)))
 
 
 MachineLike = Union[int, Stepper]

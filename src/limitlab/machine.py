@@ -19,12 +19,21 @@ Simulation is deterministic and budgeted: a run either halts with an output
 and an exact step count, or reports that the budget ran out.  The output of
 a halted tape is the binary numeral from the leftmost non-blank cell up to
 the first blank after it (an all-blank tape outputs 0).
+
+One step relation serves the simulator, trace and the history steppers: a
+table compiles once into flat records (write, move +1/-1, 3*next) indexed by
+3*state + symbol.  A run's tape is a bytearray plus an origin (the index of
+cell 0), stepped in chunks with no bounds checks: before a chunk, a head near
+an end gets half the tape's length of padding, so tapes grow geometrically
+with the cells visited, never with the budget.  A halted run reads its output
+from the bytes and drops the tape, so a live run holds O(visited cells) bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Union
 
 __all__ = [
     "BLANK",
@@ -52,6 +61,7 @@ __all__ = [
     "run_on_empty",
     "trace",
     "read_output",
+    "numeral_symbols",
     "canonical_bits",
     "Simulator",
     "shared_simulator",
@@ -64,6 +74,9 @@ LEFT, RIGHT = 0, 1
 _SYMBOLS = (BLANK, ZERO, ONE)
 _WRITE_BITS = {"00": BLANK, "01": ZERO, "10": ONE}
 _WRITE_CODE = {BLANK: "00", ZERO: "01", ONE: "10"}
+_BLANK_CELL = bytes((BLANK,))
+_DIGIT_SYMBOLS = bytes.maketrans(b"01", bytes((ZERO, ONE)))
+_SYMBOL_DIGITS = bytes.maketrans(bytes((ZERO, ONE)), b"01")
 
 
 def canonical_bits(x: int) -> str:
@@ -94,6 +107,15 @@ class StateTable:
 
     def record(self, state: int, symbol: int) -> tuple[int, int, int]:
         return self.rows[state - 1][symbol]
+
+    @cached_property
+    def code(self) -> tuple:
+        """code[3*state + symbol] = (write, +1 or -1, 3*next); halt state 0 has None."""
+        return (None, None, None) + tuple(
+            (write, 1 if move == RIGHT else -1, 3 * nxt)
+            for row in self.rows
+            for write, move, nxt in row
+        )
 
 
 @dataclass(frozen=True)
@@ -191,9 +213,6 @@ class Configuration:
     head: int
     tape: dict[int, int] = field(default_factory=dict)
 
-    def copy(self) -> "Configuration":
-        return Configuration(self.state, self.head, dict(self.tape))
-
 
 @dataclass(frozen=True)
 class Halted:
@@ -211,82 +230,83 @@ OUT_OF_BUDGET = OutOfBudget()
 RunResult = Union[Halted, OutOfBudget]
 
 
-def read_output(symbols: Sequence[int]) -> int:
+def read_output(symbols: Iterable[int]) -> int:
     """Binary numeral from the leftmost non-blank symbol to the next blank."""
-    bits = []
-    seen = False
-    for s in symbols:
-        if s == BLANK:
-            if seen:
-                break
-            continue
-        seen = True
-        bits.append("1" if s == ONE else "0")
-    if not bits:
-        return 0
-    return int("".join(bits), 2)
+    digits = bytes(symbols).lstrip(_BLANK_CELL).partition(_BLANK_CELL)[0]
+    return int(digits.translate(_SYMBOL_DIGITS), 2) if digits else 0
 
 
-def _tape_output(tape: dict[int, int]) -> int:
-    cells = [c for c, s in tape.items() if s != BLANK]
-    if not cells:
-        return 0
-    lo = min(cells)
-    symbols = []
-    c = lo
-    while tape.get(c, BLANK) != BLANK:
-        symbols.append(tape[c])
-        c += 1
-    return read_output(symbols)
+def numeral_symbols(x: int) -> bytes:
+    """Tape symbols of the canonical numeral of x, most significant first."""
+    return canonical_bits(x).encode().translate(_DIGIT_SYMBOLS)
 
 
-def _input_tape(value: int | None) -> dict[int, int]:
-    if value is None:
-        return {}
-    return {
-        i: (ONE if b == "1" else ZERO)
-        for i, b in enumerate(canonical_bits(value))
-    }
+# A head this close to an end is padded before a chunk; also the least pad.
+_MARGIN = 64
 
 
 class _TableRun:
     """Incremental simulation state for one (table, input) pair.
 
     Advancing never rewinds, so a memoized run answers every budget for the
-    same pair exactly as a fresh simulation would.
+    same pair exactly as a fresh simulation would.  base is 3*state, and
+    tape[origin + c] holds cell c until the run halts and drops the tape.
     """
 
-    __slots__ = ("table", "state", "head", "tape", "steps", "halted")
+    __slots__ = ("code", "base", "tape", "origin", "head", "steps", "halted")
 
     def __init__(self, table: StateTable, input_value: int | None):
-        self.table = table
-        self.state = 1
-        self.head = 0
-        self.tape = _input_tape(input_value)
-        self.steps = 0
+        self.code = table.code
+        self.base = 3
+        self.tape: bytearray | None = bytearray(
+            _BLANK_CELL if input_value is None else numeral_symbols(input_value)
+        )
+        self.origin = self.head = self.steps = 0
         self.halted: Halted | None = None
 
     def advance(self, budget: int) -> RunResult:
-        while self.halted is None and self.steps < budget:
-            write, move, nxt = self.table.record(
-                self.state, self.tape.get(self.head, BLANK)
-            )
-            self.tape[self.head] = write
-            self.head += 1 if move == RIGHT else -1
-            self.state = nxt
-            self.steps += 1
-            if nxt == 0:
-                self.halted = Halted(_tape_output(self.tape), self.steps)
-        if self.halted is not None and self.halted.steps <= budget:
-            return self.halted
+        if self.halted is None and self.steps < budget:
+            self._run(budget)
+        halted = self.halted
+        if halted is not None and halted.steps <= budget:
+            return halted
         return OUT_OF_BUDGET
+
+    def _run(self, budget: int) -> None:
+        code, tape, head, base, steps = self.code, self.tape, self.head, self.base, self.steps
+        while base and steps < budget:
+            room = min(head, len(tape) - 1 - head)  # steps that stay on the tape
+            if room < min(budget - steps, _MARGIN):
+                pad = bytes(max(_MARGIN, len(tape) >> 1))
+                if head < _MARGIN:
+                    tape[:0] = pad
+                    head += len(pad)
+                    self.origin += len(pad)
+                if len(tape) - 1 - head < _MARGIN:
+                    tape += pad
+                continue
+            chunk = min(budget - steps, room)
+            for i in range(chunk):
+                write, move, base = code[base + tape[head]]
+                tape[head] = write
+                head += move
+                if not base:
+                    chunk = i + 1
+                    break
+            steps += chunk
+        self.head, self.base, self.steps = head, base, steps
+        if not base:
+            self.halted = Halted(read_output(tape), steps)
+            self.tape = None
 
 
 class Simulator:
     """Memoizing front end for run results.
 
-    Results are identical to fresh simulation; the cache only avoids
-    re-stepping the same (machine, input) pair under growing budgets.
+    Results are identical to fresh simulation; the memo only avoids
+    re-stepping the same (machine, input) pair under growing budgets.  It keeps
+    each decoded kind (a table's compiled records with it) and one run per
+    (table, input), which holds its tape only while it has not halted.
     """
 
     def __init__(self) -> None:
@@ -330,37 +350,33 @@ def run_on_empty(index: int, budget: int, sim: Simulator | None = None) -> RunRe
     return (sim or shared_simulator).result(index, None, budget)
 
 
-def trace(index: int, input_value: int | None, budget: int) -> list[Configuration]:
-    """Full configuration sequence up to halting or the budget.
+def trace(index: int, input_value: int | None, budget: int) -> Iterator[Configuration]:
+    """Configurations up to halting or the budget, generated one at a time.
 
-    input_value None means an all-blank initial tape.  Literal machines never
-    consult the tape; their configurations start blank regardless of input so
-    that the halting tape reads back exactly the payload.
+    input_value None means an all-blank initial tape.  A configuration's tape
+    holds the input cells and every cell written so far.  Literal machines
+    never consult the tape; their configurations start blank regardless of
+    input so that the halting tape reads back exactly the payload.
     """
     kind = decode_program(index_to_program(index))
     if isinstance(kind, Literal):
-        digits = canonical_bits(kind.payload)
-        cfgs = [Configuration(1, 0, {})]
-        tape: dict[int, int] = {}
-        for j, b in enumerate(digits):
-            if j + 1 > budget:
-                break
-            tape[j] = ONE if b == "1" else ZERO
-            state = 0 if j + 1 == len(digits) else 1
-            cfgs.append(Configuration(state, j + 1, dict(tape)))
-        return cfgs
+        digits = numeral_symbols(kind.payload)
+        yield Configuration(1, 0, {})
+        for j in range(1, min(budget, len(digits)) + 1):
+            yield Configuration(int(j < len(digits)), j, dict(enumerate(digits[:j])))
+        return
+    cells = b"" if input_value is None else numeral_symbols(input_value)
     if isinstance(kind, Diverger):
-        base = Configuration(1, 0, _input_tape(input_value))
-        return [base.copy() for _ in range(budget + 1)]
-    cfg = Configuration(1, 0, _input_tape(input_value))
-    cfgs = [cfg.copy()]
-    table = kind.states
-    for _ in range(budget):
-        if cfg.state == 0:
-            break
-        write, move, nxt = table.record(cfg.state, cfg.tape.get(cfg.head, BLANK))
-        cfg.tape[cfg.head] = write
-        cfg.head += 1 if move == RIGHT else -1
-        cfg.state = nxt
-        cfgs.append(cfg.copy())
-    return cfgs
+        for _ in range(budget + 1):
+            yield Configuration(1, 0, dict(enumerate(cells)))
+        return
+    run = _TableRun(kind.states, input_value)
+    tape, lo, hi = run.tape, 0, len(cells) - 1
+    while True:
+        origin = run.origin
+        window = {c: tape[origin + c] for c in range(lo, hi + 1)}
+        yield Configuration(run.base // 3, run.head - origin, window)
+        if run.halted is not None or run.steps >= budget:
+            return
+        lo, hi = min(lo, run.head - origin), max(hi, run.head - origin)
+        run.advance(run.steps + 1)

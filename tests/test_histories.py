@@ -76,7 +76,7 @@ def test_round_trip_on_real_traces():
         gallery.identity_2_index(),
         literal_index(5),
     ):
-        cfgs = trace(idx, 3, 12)
+        cfgs = list(trace(idx, 3, 12))
         code = encode_history(cfgs)
         views = decode_history(code)
         assert views == [view_of(c) for c in cfgs]
@@ -84,7 +84,7 @@ def test_round_trip_on_real_traces():
 
 
 def test_single_configuration_round_trips():
-    cfgs = trace(0, None, 0)  # diverger, initial configuration only
+    cfgs = list(trace(0, None, 0))  # diverger, initial configuration only
     code = encode_history(cfgs)
     assert decode_history(code) == [view_of(cfgs[0])]
 

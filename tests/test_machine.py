@@ -199,10 +199,10 @@ def test_trace_shapes():
         1,
         (((BLANK, LEFT, 0), (ZERO, LEFT, 0), (ONE, LEFT, 0)),),
     )
-    cfgs = trace(table_index(halt_now), 0, 10)
+    cfgs = list(trace(table_index(halt_now), 0, 10))
     assert len(cfgs) == 2
     assert cfgs[0].state == 1 and cfgs[-1].state == 0
-    diverger_cfgs = trace(0, None, 25)
+    diverger_cfgs = list(trace(0, None, 25))
     assert len(diverger_cfgs) == 26
     assert all(c.state != 0 for c in diverger_cfgs)
 
@@ -221,7 +221,7 @@ def test_trace_halt_state_iff_halted():
         idx = table_index(StateTable(k, rows))
         x = rng.randrange(6)
         budget = 30
-        cfgs = trace(idx, x, budget)
+        cfgs = list(trace(idx, x, budget))
         result = run(idx, x, budget, Simulator())
         assert (cfgs[-1].state == 0) == isinstance(result, Halted)
         if isinstance(result, Halted):
@@ -230,7 +230,7 @@ def test_trace_halt_state_iff_halted():
 
 
 def test_literal_trace_writes_digits():
-    cfgs = trace(literal_index(5), None, 10)
+    cfgs = list(trace(literal_index(5), None, 10))
     assert len(cfgs) == 4
     assert cfgs[-1].state == 0
     final = cfgs[-1].tape
@@ -251,4 +251,4 @@ def test_determinism():
     a = [run(idx, x, 40, Simulator()) for x in range(30)]
     b = [run(idx, x, 40, Simulator()) for x in range(30)]
     assert a == b
-    assert trace(idx, 9, 40) == trace(idx, 9, 40)
+    assert list(trace(idx, 9, 40)) == list(trace(idx, 9, 40))
