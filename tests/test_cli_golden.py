@@ -2,8 +2,9 @@
 
 The cases live in tests/golden/cases.json and each one's expected standard
 output in tests/golden/<name>.out.  Every case runs in a fresh interpreter so
-no memo carries over between cases.  To record the outputs of the current
-code after a deliberate output change:
+no memo carries over between cases, with tests/golden as its working
+directory so that a case can name an input file checked in beside it.  To
+record the outputs of the current code after a deliberate output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -28,6 +29,7 @@ def run_case(case: dict) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "limitlab.cli", *case["argv"]],
         env=env,
+        cwd=GOLDEN,
         capture_output=True,
         check=False,
     )
