@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product, takewhile
 from typing import Iterable, Iterator, Union
 
 __all__ = [
@@ -57,6 +58,8 @@ __all__ = [
     "encode_table",
     "table_index",
     "literal_index",
+    "table_indices",
+    "literal_steps_below",
     "run",
     "run_on_empty",
     "trace",
@@ -205,6 +208,56 @@ def literal_index(x: int) -> int:
     return program_to_index("1" + canonical_bits(x))
 
 
+def table_indices() -> Iterator[int]:
+    """Indices of all state tables, ascending.
+
+    A k-state program is exactly 4 + 3k(3 + bitlen k) bits long, which grows
+    with k, so tables come in order of k; within one k, index order is the
+    product order of the 3k records, each ordered by its write (00/01/10),
+    then its move, then its next state 0..k.
+    """
+    write_codes = sorted(int(bits, 2) for bits in _WRITE_BITS)
+    for k in range(1, 9):
+        next_bits = k.bit_length()
+        record_bits = 3 + next_bits
+        records = [
+            (write << 1 | move) << next_bits | nxt
+            for write in write_codes
+            for move in (LEFT, RIGHT)
+            for nxt in range(k + 1)
+        ]
+        head = 0b10000 | (k - 1)  # the leading 1 of the index, then "0" and k-1
+        for body in product(records, repeat=3 * k):
+            index = head
+            for record in body:
+                index = index << record_bits | record
+            yield index - 1
+
+
+def literal_steps_below(z: int) -> dict[int, int]:
+    """How many literal machines with index below z halt in each step count.
+
+    The literal "1"+b halts in max(1, bitlen(int(b, 2))) steps.  Among the
+    payloads 0..v-1, min(v, 2) take one step and min(v, 2^j) - 2^(j-1) take
+    j >= 2 steps.  Every payload of 1..len(p)-2 bits lies below z, where p is
+    the program of z, and so does every (len(p)-1)-bit payload below p[1:]
+    when p starts with 1.
+    """
+    program = index_to_program(z)
+    full = max(0, len(program) - 2)
+    top = int(program[1:], 2) if program[:2] in ("10", "11") else 0
+    counts = {}
+    for j in range(1, max(full, top.bit_length()) + 1):
+        if j == 1:
+            count = 2 * full + min(top, 2)
+        else:
+            half = 1 << (j - 1)
+            count = half * max(0, full - j + 1) + max(0, min(top, 2 * half) - half)
+        if count:
+            counts[j] = count
+    return counts
+
+
 @dataclass
 class Configuration:
     """state 0..k (0 only when halted), head cell, and the visited tape cells."""
@@ -319,6 +372,12 @@ class Simulator:
             got = decode_program(index_to_program(index))
             self._kinds[index] = got
         return got
+
+    def table_indices_below(self, z: int) -> Iterator[int]:
+        """Ascending indices below z whose blank-tape runs must be simulated
+        to be known: the state tables.  Every other index is a literal, whose
+        run is known in closed form, or a diverger."""
+        return takewhile(lambda y: y < z, table_indices())
 
     def result(self, index: int, input_value: int | None, budget: int) -> RunResult:
         kind = self.kind(index)

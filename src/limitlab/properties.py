@@ -25,6 +25,8 @@ pairing and a ratio a/b is coded as pair(a, b).
 from __future__ import annotations
 
 import bisect
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -38,7 +40,15 @@ from .engine import (
     StageFunction,
     StageResult,
 )
-from .machine import Halted, OutOfBudget, Simulator, literal_index, shared_simulator
+from .machine import (
+    Halted,
+    Literal,
+    OutOfBudget,
+    Simulator,
+    literal_index,
+    literal_steps_below,
+    shared_simulator,
+)
 
 __all__ = [
     "PROPERTY_IDS",
@@ -123,41 +133,55 @@ def _run_cost(result, allowed: int) -> int:
 class _ShortestProgramCore:
     """Shared engine of the shortest-program search for one target value.
 
-    Resolves the fate of every index below the literal one up to a growing
-    step horizon; stage n then reads off the least index already seen to
-    write the target in fewer than n steps, and the exact cost of running
-    the whole pool for n steps.
+    Stage n charges a run of n steps to every index below the literal one,
+    z = literal_index(x), and guesses the least of them seen to write x in
+    fewer than n steps, else z.  Only the state tables below z are simulated,
+    up to a growing step horizon.  The rest are known without a run: a
+    literal "1"+b halts in max(1, bitlen(b)) steps, and none below z writes x,
+    since its payload is shorter than x's numeral or, at the same length,
+    smaller or zero-padded; every other index diverges.  The state is a
+    histogram of halting steps, with cumulative (count, steps) sums.
+
+    Finding: in the real universe k(x) = literal_index(x) at every scale that
+    can be enumerated.  Below the literal of any x < 2^32 the only tables are
+    the 1,728 one-state ones (the first two-state table is a 34-bit program),
+    and from a blank tape each of those halts in one step or never, writing
+    at most one digit.  So only planted universes exercise the drop logic.
     """
 
     def __init__(self, x: int, sim: Simulator):
         self.x = x
         self.z = literal_index(x)
-        self.sim = sim
+        self.simulated = tuple(sim.table_indices_below(self.z))
+        self.literal_steps = Counter(literal_steps_below(self.z))
+        for y in self.simulated:  # a subclass's table_indices_below may add literals
+            kind = sim.kind(y)
+            if isinstance(kind, Literal):
+                self.literal_steps[max(1, kind.payload.bit_length())] -= 1
         self.horizon = 0
-        self.halt_steps: list[int] = []  # sorted steps of halting candidates
-        self.halt_steps_prefix: list[int] = [0]
+        self.step_values: list[int] = []  # ascending halting steps
+        self.halted_upto: list[tuple[int, int]] = [(0, 0)]  # (count, steps) sums
         self.improvements: list[tuple[int, int]] = []  # (steps, index), target hits
-        self.unresolved = self.z  # candidates not yet seen to halt
 
-    def ensure(self, n: int) -> None:
+    def ensure(self, n: int, sim: Simulator) -> None:
         if n <= self.horizon:
             return
         horizon = max(64, 1 << (n - 1).bit_length())
-        fresh_steps = []
+        halted = Counter(self.literal_steps)
         improvements = []
-        unresolved = 0
-        for y in range(self.z):
-            result = self.sim.result(y, None, horizon)
+        for y in self.simulated:
+            result = sim.result(y, None, horizon)
             if isinstance(result, Halted):
-                fresh_steps.append(result.steps)
+                halted[result.steps] += 1
                 if result.output == self.x:
                     improvements.append((result.steps, y))
-            else:
-                unresolved += 1
-        fresh_steps.sort()
-        prefix = [0]
-        for s in fresh_steps:
-            prefix.append(prefix[-1] + s)
+        self.step_values = sorted(halted)
+        count = steps = 0
+        self.halted_upto = [(0, 0)]
+        for s in self.step_values:
+            count += halted[s]
+            steps += s * halted[s]
+            self.halted_upto.append((count, steps))
         improvements.sort()
         best = []
         cur = self.z
@@ -165,15 +189,11 @@ class _ShortestProgramCore:
             if y < cur:
                 cur = y
                 best.append((s, y))
-        self.halt_steps = fresh_steps
-        self.halt_steps_prefix = prefix
         self.improvements = best
-        self.unresolved = unresolved
         self.horizon = horizon
 
     def guess(self, n: int) -> int:
         """Least index writing x in fewer than n steps, else the literal one."""
-        self.ensure(n)
         value = self.z
         for s, y in self.improvements:
             if s < n:
@@ -184,34 +204,34 @@ class _ShortestProgramCore:
 
     def cost(self, n: int) -> int:
         """Steps charged by running every candidate for n steps."""
-        self.ensure(n)
-        pos = bisect.bisect_right(self.halt_steps, n)
-        halted_cost = self.halt_steps_prefix[pos]
-        still_running = len(self.halt_steps) - pos + self.unresolved
-        return halted_cost + n * still_running
+        count, steps = self.halted_upto[bisect.bisect_right(self.step_values, n)]
+        return steps + n * (self.z - count)
 
 
-_core_pool: dict[tuple[int, int], _ShortestProgramCore] = {}
+# A simulator's cores live exactly as long as it does: later streams on the
+# same simulator reuse them, and they hold no reference back to it.
+_cores = weakref.WeakKeyDictionary()  # Simulator -> {x: _ShortestProgramCore}
 
 
-def _core_for(x: int, sim: Simulator) -> _ShortestProgramCore:
-    key = (id(sim), x)
-    core = _core_pool.get(key)
+def _core_for(x: int, sim: Simulator, n: int) -> _ShortestProgramCore:
+    """The search for x on sim, resolved far enough to answer stage n."""
+    cores = _cores.setdefault(sim, {})
+    core = cores.get(x)
     if core is None:
-        core = _ShortestProgramCore(x, sim)
-        _core_pool[key] = core
+        core = cores[x] = _ShortestProgramCore(x, sim)
+    core.ensure(n, sim)
     return core
 
 
 class _ShortestProgramEvaluator:
     def __init__(self, x: int, sim: Simulator):
-        self.core_for = lambda value: _core_for(value, sim)
         self.x = x
+        self.sim = sim
 
     def stage(self, s: int, t: int, budget: int) -> StageResult:
         if budget < t:
             return NO_OUTPUT, 0
-        core = self.core_for(self.x)
+        core = _core_for(self.x, self.sim, t)
         return Guess(core.guess(t)), core.cost(t)
 
 
@@ -235,7 +255,7 @@ class _IncompressibleEvaluator:
         found = 0
         value = None
         for x in range(t + 1):
-            core = _core_for(x, self.sim)
+            core = _core_for(x, self.sim, t)
             steps += core.cost(t)
             if core.guess(t) == core.z:
                 if found == self.n:

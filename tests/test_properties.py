@@ -58,6 +58,10 @@ class CounterfactualSimulator(Simulator):
         super().__init__()
         self.planted = planted  # index -> Halted
 
+    def table_indices_below(self, z):
+        planted = (y for y in self.planted if y < z)
+        return sorted({*super().table_indices_below(z), *planted})
+
     def result(self, index, input_value, budget):
         fake = self.planted.get(index)
         if fake is not None and input_value is None:
